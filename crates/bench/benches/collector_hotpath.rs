@@ -3,21 +3,20 @@
 //! The paper's proof of concept showed a software router's 25 Gbps
 //! forwarding rate unchanged with the VPM modules loaded, i.e. the
 //! collector is not the bottleneck. The substitute measurement here is
-//! direct: ns/packet through the full collector (classification,
-//! digest, Algorithm 1, Algorithm 2, counters), reported as packets
-//! per second per core. At 400 B average packets, 10 Gbps is ~3.1 Mpps
+//! direct: ns/packet through the collector's data plane (Algorithm 1,
+//! Algorithm 2, counters) on pre-classified, pre-digested packets,
+//! reported as packets per second per core (`vpm bench-collector`'s
+//! `observe_full_batched` row adds classification and digesting). At 400 B average packets, 10 Gbps is ~3.1 Mpps
 //! per direction — compare with the measured element throughput.
 //!
-//! Two benchmark groups:
+//! Two benchmark groups, both on the batch data plane behind
+//! `Ingest::ingest`:
 //!
 //! * `collector` — the single-path pipeline of the seed benchmark
-//!   (kept for trajectory continuity), plus the batched variant.
+//!   (kept for trajectory continuity).
 //! * `collector_200paths` — the §7.1 many-path regime: a 200-path
-//!   `/32`-pair workload through the pre-index linear scan
-//!   (reconstructed reference), the classifier index, and the
-//!   per-packet vs batched prehashed data plane. The linear-scan vs
-//!   indexed/batched rows are the before/after of the line-rate
-//!   rebuild.
+//!   `/32`-pair workload through the pre-classified, pre-digested
+//!   batch path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use vpm_bench::bench_trace;
@@ -26,7 +25,7 @@ use vpm_bench::collector_bench::{
 };
 use vpm_core::receipt::PathId;
 use vpm_core::{Collector, HopConfig, Ingest};
-use vpm_hash::{Digest, DEFAULT_DIGEST_SEED};
+use vpm_hash::Digest;
 use vpm_packet::{DomainId, HopId, SimDuration, SimTime};
 
 fn mk_collector() -> Collector {
@@ -44,54 +43,16 @@ fn mk_collector() -> Collector {
     c
 }
 
-// The per-packet rows below deliberately stay on the deprecated
-// `observe`/`observe_digest` surface: they track the historical
-// per-packet architecture across releases and their measured
-// semantics must not move.
-#[allow(deprecated)]
-fn bench_observe_full(c: &mut Criterion) {
-    let trace = bench_trace(200, 1);
-    let mut g = c.benchmark_group("collector");
-    g.throughput(Throughput::Elements(trace.len() as u64));
-    g.bench_function("observe_classify_and_digest", |b| {
-        b.iter_batched(
-            mk_collector,
-            |mut col| {
-                for tp in &trace {
-                    black_box(col.observe(&tp.packet, tp.ts));
-                }
-                col
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    g.finish();
-}
-
-#[allow(deprecated)]
-fn bench_observe_digest_fastpath(c: &mut Criterion) {
+fn bench_ingest_single_path(c: &mut Criterion) {
     // Pre-classified, pre-digested: the pure Algorithm 1 + Algorithm 2
     // data-plane cost (what a NetFlow-style engine would run).
     let trace = bench_trace(200, 2);
-    let digests: Vec<Digest> = trace.iter().map(|tp| tp.packet.digest()).collect();
-    let times: Vec<SimTime> = trace.iter().map(|tp| tp.ts).collect();
-    let mut g = c.benchmark_group("collector");
-    g.throughput(Throughput::Elements(trace.len() as u64));
-    g.bench_function("observe_prehashed", |b| {
-        b.iter_batched(
-            mk_collector,
-            |mut col| {
-                for i in 0..digests.len() {
-                    col.observe_digest(0, digests[i], times[i]);
-                }
-                col
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    let triples: Vec<(usize, Digest, SimTime)> = (0..digests.len())
-        .map(|i| (0usize, digests[i], times[i]))
+    let triples: Vec<(usize, Digest, SimTime)> = trace
+        .iter()
+        .map(|tp| (0usize, tp.packet.digest(), tp.ts))
         .collect();
+    let mut g = c.benchmark_group("collector");
+    g.throughput(Throughput::Elements(triples.len() as u64));
     g.bench_function("observe_batch_prehashed", |b| {
         b.iter_batched(
             mk_collector,
@@ -108,64 +69,20 @@ fn bench_observe_digest_fastpath(c: &mut Criterion) {
     g.finish();
 }
 
-#[allow(deprecated)]
-fn bench_observe_200paths(c: &mut Criterion) {
+fn bench_ingest_200paths(c: &mut Criterion) {
     let cfg = CollectorBenchConfig {
         packets: 40_000,
         paths: 200,
         batch: 4096,
-        shards: 2,
         repeats: 1,
     };
     let w = build_workload(&cfg);
-    let digests: Vec<Digest> = w.packets.iter().map(|p| p.digest()).collect();
     let triples: Vec<(usize, Digest, SimTime)> = (0..w.packets.len())
-        .map(|i| (w.path_idx[i], digests[i], w.times[i]))
+        .map(|i| (w.path_idx[i], w.packets[i].digest(), w.times[i]))
         .collect();
 
     let mut g = c.benchmark_group("collector_200paths");
     g.throughput(Throughput::Elements(w.packets.len() as u64));
-
-    // The pre-index architecture, reconstructed: O(paths) linear
-    // classification scan + per-packet digest + per-packet update.
-    g.bench_function("observe_linear_scan", |b| {
-        b.iter_batched(
-            || mk_collector_multi(&w),
-            |mut col| {
-                for (pkt, &t) in w.packets.iter().zip(&w.times) {
-                    if let Some(idx) = w.specs.iter().position(|s| s.matches(pkt)) {
-                        col.observe_digest(idx, pkt.digest_with(DEFAULT_DIGEST_SEED), t);
-                    }
-                }
-                col
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("observe_indexed", |b| {
-        b.iter_batched(
-            || mk_collector_multi(&w),
-            |mut col| {
-                for (pkt, &t) in w.packets.iter().zip(&w.times) {
-                    black_box(col.observe(pkt, t));
-                }
-                col
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    g.bench_function("observe_prehashed", |b| {
-        b.iter_batched(
-            || mk_collector_multi(&w),
-            |mut col| {
-                for &(idx, d, t) in &triples {
-                    col.observe_digest(idx, d, t);
-                }
-                col
-            },
-            criterion::BatchSize::LargeInput,
-        )
-    });
     g.bench_function("observe_batch_prehashed", |b| {
         b.iter_batched(
             || mk_collector_multi(&w),
@@ -209,9 +126,8 @@ fn bench_report_cycle(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_observe_full,
-    bench_observe_digest_fastpath,
-    bench_observe_200paths,
+    bench_ingest_single_path,
+    bench_ingest_200paths,
     bench_report_cycle
 );
 criterion_main!(benches);

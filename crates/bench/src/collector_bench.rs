@@ -5,14 +5,11 @@
 //! software router's forwarding rate untouched, i.e. the collector is
 //! not the bottleneck. This harness makes that claim measurable on
 //! every checkout: it walks one multi-path workload through the
-//! collector's classification/digest/update variants and reports
-//! ns/packet and Mpps per variant, including a reconstruction of the
-//! pre-index linear-scan hot path so the before/after is visible in
-//! one run. Three rows probe the current architecture's ceilings: the
-//! multi-lane SIMD digest kernel against its scalar twin
-//! (`digest_batch_scalar` / `digest_batch_words`), the sharded
-//! multi-core plane against the single-core batch path
-//! (`ingest_sharded`), and the paper's 100,000-path regime
+//! single-core batch data plane behind `Ingest::ingest` and reports
+//! ns/packet and Mpps per variant. Two groups of rows probe the
+//! current architecture's ceilings: the multi-lane SIMD digest kernel
+//! against its scalar twin (`digest_batch_scalar` /
+//! `digest_batch_words`), and the paper's 100,000-path regime
 //! (`classify_paper_scale` / `ingest_paper_scale`).
 //! `vpm bench-collector` serializes the report to
 //! `BENCH_collector.json`, seeding the repo's performance trajectory.
@@ -22,7 +19,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use vpm_core::receipt::PathId;
-use vpm_core::{Collector, HopConfig, Ingest, ShardedCollector};
+use vpm_core::{Collector, HopConfig, Ingest};
 use vpm_hash::{Digest, DEFAULT_DIGEST_SEED};
 use vpm_packet::{
     ipv4, DomainId, HeaderSpec, HopId, Ipv4Header, Ipv4Prefix, Packet, SimDuration, SimTime,
@@ -34,10 +31,6 @@ use vpm_packet::{
 /// at this path count regardless of `--paths`.
 pub const PAPER_SCALE_PATHS: usize = 100_000;
 
-fn default_shards() -> usize {
-    4
-}
-
 /// Workload shape for one collector benchmark run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CollectorBenchConfig {
@@ -47,10 +40,6 @@ pub struct CollectorBenchConfig {
     pub paths: usize,
     /// Batch size for the batched variants.
     pub batch: usize,
-    /// Shard count for the `ingest_sharded` variant (per-core
-    /// collectors; size to the worker cores under test).
-    #[serde(default = "default_shards")]
-    pub shards: usize,
     /// Timed repetitions per variant (the minimum is reported).
     pub repeats: usize,
 }
@@ -64,7 +53,6 @@ impl Default for CollectorBenchConfig {
             // still leaves ~20-packet per-path partitions to amortize
             // over.
             batch: 4096,
-            shards: default_shards(),
             repeats: 3,
         }
     }
@@ -88,29 +76,12 @@ pub struct CollectorBenchReport {
     pub config: CollectorBenchConfig,
     /// Per-variant measurements, in pipeline order.
     pub results: Vec<VariantResult>,
-    /// `observe_linear_scan / observe_indexed` — the classifier-index
-    /// win at this path count.
-    pub classify_speedup: f64,
-    /// `observe_prehashed / observe_batch_prehashed` — the batching
-    /// win on the pre-classified, pre-digested data plane.
-    pub batch_speedup: f64,
-    /// `observe_linear_scan / observe_full_batched` — the whole
-    /// rebuilt data plane (index + slice digest + batch) against the
-    /// pre-index per-packet architecture doing the same work.
-    pub hot_path_speedup: f64,
     /// `digest_batch_scalar / digest_batch_words` — the multi-lane
     /// SIMD digest kernel against the scalar loop on identical blocks
     /// (both rows include word-block extraction, so the ratio isolates
     /// the kernel swap).
     #[serde(default)]
     pub simd_digest_speedup: f64,
-    /// `observe_batch_prehashed / ingest_sharded` — the sharded
-    /// multi-core plane against the single-core batch path on the same
-    /// triples. Below 1.0 on a single-core box (partition + spawn
-    /// overhead with nothing to run in parallel); grows with worker
-    /// cores.
-    #[serde(default)]
-    pub sharded_speedup: f64,
 }
 
 /// The benchmark workload: registered path specs plus a packet stream
@@ -199,17 +170,6 @@ pub fn mk_collector(w: &Workload) -> Collector {
     c
 }
 
-/// Sharded collector under test: same thresholds, same registration
-/// order — so global path indices line up with [`mk_collector`]'s and
-/// the two planes accept identical batches.
-pub fn mk_sharded(w: &Workload, shards: usize) -> ShardedCollector {
-    let mut c = ShardedCollector::new(hop_config(), shards);
-    for &spec in &w.specs {
-        c.register_path(path_of(spec));
-    }
-    c
-}
-
 /// Time `body` (which must consume `packets` packets per call)
 /// `repeats` times and return the minimum ns/packet.
 fn time_variant<F: FnMut() -> u64>(packets: usize, repeats: usize, mut body: F) -> f64 {
@@ -241,65 +201,11 @@ pub fn run(cfg: &CollectorBenchConfig) -> CollectorBenchReport {
         nspp
     };
 
-    // The pre-index data plane, reconstructed: O(paths) linear
-    // classification scan, then digest + update. This is what
-    // `Collector::observe` did before the classifier index. The scan
-    // is O(paths × packets), so at large `--paths` only a prefix is
-    // measured — ns/packet is unaffected, the run stays bounded.
-    let n_linear = n.min(((1usize << 28) / cfg.paths.max(1)).max(1_000));
-    // Measures the deprecated per-packet surface on purpose: this row
-    // is the historical architecture and its semantics must not move.
-    #[allow(deprecated)]
-    let linear = time_variant(n_linear, cfg.repeats, || {
-        let mut col = mk_collector(&w);
-        let mut seen = 0u64;
-        for (pkt, &t) in w.packets.iter().zip(&w.times).take(n_linear) {
-            if let Some(idx) = w.specs.iter().position(|s| s.matches(pkt)) {
-                col.observe_digest(idx, pkt.digest_with(DEFAULT_DIGEST_SEED), t);
-                seen += 1;
-            }
-        }
-        std::hint::black_box(col.counters());
-        seen
-    });
-    record("observe_linear_scan", linear);
-
-    // The per-packet full hot path: classifier index + digest +
-    // update. Deliberately still on the deprecated `observe` — the row
-    // tracks the per-packet architecture across releases.
-    #[allow(deprecated)]
-    let indexed = time_variant(n, cfg.repeats, || {
-        let mut col = mk_collector(&w);
-        let mut seen = 0u64;
-        for (pkt, &t) in w.packets.iter().zip(&w.times) {
-            if col.observe(pkt, t).is_some() {
-                seen += 1;
-            }
-        }
-        std::hint::black_box(col.counters());
-        seen
-    });
-    record("observe_indexed", indexed);
-
-    // Pre-classified, pre-digested per-packet path (what a
-    // NetFlow-style engine with its own classifier would run). Also
-    // intentionally on the deprecated per-packet surface.
-    let digests: Vec<Digest> = w.packets.iter().map(|p| p.digest()).collect();
-    #[allow(deprecated)]
-    let prehashed = time_variant(n, cfg.repeats, || {
-        let mut col = mk_collector(&w);
-        for ((&idx, &d), &t) in w.path_idx.iter().zip(&digests).zip(&w.times) {
-            col.observe_digest(idx, d, t);
-        }
-        std::hint::black_box(col.counters());
-        n as u64
-    });
-    record("observe_prehashed", prehashed);
-
-    // The batched data plane behind the `Ingest` surface: same inputs,
-    // amortized counters, pass masks, and per-path batch fast paths.
+    // The batched data plane behind the `Ingest` surface on
+    // pre-classified, pre-digested triples: amortized counters, pass
+    // masks, and per-path batch fast paths.
     let triples: Vec<(usize, Digest, SimTime)> = (0..n)
-        .map(|i| (w.path_idx[i], digests[i], w.times[i]))
+        .map(|i| (w.path_idx[i], w.packets[i].digest(), w.times[i]))
         .collect();
     let batched = time_variant(n, cfg.repeats, || {
         let mut col = mk_collector(&w);
@@ -314,8 +220,6 @@ pub fn run(cfg: &CollectorBenchConfig) -> CollectorBenchReport {
 
     // The rebuilt data plane end to end: classifier index + multi-lane
     // `digest_batch` + batch ingest, in ring-buffer-sized chunks.
-    // Compare against `observe_linear_scan` — the same work in the
-    // pre-index, per-packet architecture.
     let full_batched = time_variant(n, cfg.repeats, || {
         let mut col = mk_collector(&w);
         let mut blocks: Vec<[u32; DIGEST_INPUT_WORDS]> = Vec::new();
@@ -347,22 +251,6 @@ pub fn run(cfg: &CollectorBenchConfig) -> CollectorBenchReport {
         seen
     });
     record("observe_full_batched", full_batched);
-
-    // The multi-core plane: identical prehashed triples, partitioned
-    // to per-core collectors by `PathId::shard_key` and run on scoped
-    // workers. On a many-core box this row beats the single-core batch
-    // path; on one core it pays partition + spawn overhead for
-    // nothing, which `sharded_speedup` reports honestly.
-    let sharded = time_variant(n, cfg.repeats, || {
-        let mut col = mk_sharded(&w, cfg.shards);
-        for chunk in triples.chunks(cfg.batch.max(1)) {
-            let report = col.ingest(chunk);
-            debug_assert!(report.is_clean());
-        }
-        std::hint::black_box(col.counters());
-        n as u64
-    });
-    record("ingest_sharded", sharded);
 
     // Digest computation alone: per-packet byte path vs the word-block
     // `digest_batch` slice path, scalar and multi-lane. The scalar and
@@ -440,11 +328,7 @@ pub fn run(cfg: &CollectorBenchConfig) -> CollectorBenchReport {
     CollectorBenchReport {
         config: *cfg,
         results,
-        classify_speedup: linear / indexed,
-        batch_speedup: prehashed / batched,
-        hot_path_speedup: linear / full_batched,
         simd_digest_speedup: d_scalar / d_words,
-        sharded_speedup: batched / sharded,
     }
 }
 
@@ -454,8 +338,8 @@ pub fn render_table(report: &CollectorBenchReport) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "collector hot path — {} packets, {} paths, batch {}, {} shards",
-        report.config.packets, report.config.paths, report.config.batch, report.config.shards
+        "collector hot path — {} packets, {} paths, batch {}",
+        report.config.packets, report.config.paths, report.config.batch
     );
     let _ = writeln!(s, "{:<28} {:>12} {:>10}", "variant", "ns/packet", "Mpps");
     for r in &report.results {
@@ -467,28 +351,8 @@ pub fn render_table(report: &CollectorBenchReport) -> String {
     }
     let _ = writeln!(
         s,
-        "classifier index speedup (linear scan / indexed): {:.2}x",
-        report.classify_speedup
-    );
-    let _ = writeln!(
-        s,
-        "batch speedup (per-packet prehashed / batched):   {:.2}x",
-        report.batch_speedup
-    );
-    let _ = writeln!(
-        s,
-        "hot-path speedup (linear scan / full batched):    {:.2}x",
-        report.hot_path_speedup
-    );
-    let _ = writeln!(
-        s,
-        "SIMD digest speedup (scalar / multi-lane):        {:.2}x",
+        "SIMD digest speedup (scalar / multi-lane): {:.2}x",
         report.simd_digest_speedup
-    );
-    let _ = writeln!(
-        s,
-        "sharded speedup (single-core batch / sharded):    {:.2}x",
-        report.sharded_speedup
     );
     s
 }
@@ -503,7 +367,6 @@ mod tests {
             packets: 2_000,
             paths: 37,
             batch: 64,
-            shards: 2,
             repeats: 1,
         };
         let w = build_workload(&cfg);
@@ -519,39 +382,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_single_collectors_share_global_indices() {
-        let cfg = CollectorBenchConfig {
-            packets: 500,
-            paths: 64,
-            batch: 64,
-            shards: 4,
-            repeats: 1,
-        };
-        let w = build_workload(&cfg);
-        let sharded = mk_sharded(&w, cfg.shards);
-        assert_eq!(sharded.path_count(), cfg.paths);
-        assert_eq!(sharded.shard_count(), cfg.shards);
-    }
-
-    #[test]
     fn report_has_all_variants_and_sane_numbers() {
         let report = run(&CollectorBenchConfig {
             packets: 5_000,
             paths: 20,
             batch: 128,
-            shards: 2,
             repeats: 1,
         });
         let names: Vec<&str> = report.results.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
             [
-                "observe_linear_scan",
-                "observe_indexed",
-                "observe_prehashed",
                 "observe_batch_prehashed",
                 "observe_full_batched",
-                "ingest_sharded",
                 "digest_per_packet",
                 "digest_batch_scalar",
                 "digest_batch_words",
@@ -566,13 +409,9 @@ mod tests {
             );
             assert!((r.mpps - 1e3 / r.ns_per_packet).abs() < 1e-9);
         }
-        assert!(report.classify_speedup > 0.0);
-        assert!(report.batch_speedup > 0.0);
         assert!(report.simd_digest_speedup > 0.0);
-        assert!(report.sharded_speedup > 0.0);
         let table = render_table(&report);
         assert!(table.contains("observe_batch_prehashed"));
-        assert!(table.contains("ingest_sharded"));
         assert!(table.contains("classify_paper_scale"));
     }
 }

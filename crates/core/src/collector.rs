@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
-use vpm_hash::{Digest, DigestSeed, DEFAULT_DIGEST_SEED};
+use vpm_hash::Digest;
 use vpm_packet::{HeaderSpec, Packet, SimTime};
 
 use crate::aggregation::{Aggregator, FinishedAggregate};
@@ -145,7 +145,6 @@ pub struct PathState {
 #[derive(Debug)]
 pub struct Collector {
     config: HopConfig,
-    digest_seed: DigestSeed,
     paths: Vec<PathState>,
     index: ClassifierIndex,
     counters: CostCounters,
@@ -174,7 +173,6 @@ impl Collector {
     pub fn new(config: HopConfig) -> Self {
         Collector {
             config,
-            digest_seed: DEFAULT_DIGEST_SEED,
             paths: Vec::new(),
             index: ClassifierIndex::default(),
             counters: CostCounters::default(),
@@ -233,65 +231,15 @@ impl Collector {
         self.paths.get(idx)
     }
 
-    /// Observe a packet at local time `t`: classify, digest, update.
-    /// Returns the path index it was classified into, if any; an
-    /// unmatched packet is counted in [`CostCounters::unclassified`]
-    /// (no digest is computed for it, so no hash is charged).
-    #[deprecated(
-        since = "0.10.0",
-        note = "classify + digest upstream, then batch through `Ingest::ingest`"
-    )]
-    pub fn observe(&mut self, pkt: &Packet, t: SimTime) -> Option<usize> {
-        let Some(idx) = self.index.classify(pkt) else {
-            self.counters.unclassified += 1;
-            return None;
-        };
-        let digest = pkt.digest_with(self.digest_seed);
-        self.counters.hash_ops += 1;
-        self.observe_at(idx, digest, t);
-        Some(idx)
-    }
-
-    /// Observe a packet whose classification and digest are already
-    /// known (the hot path used by experiment drivers; also counts the
-    /// hash the HOP would have computed). Returns `false` — charging no
-    /// hash and counting the packet as unclassified — when `idx` names
-    /// no registered path.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `Ingest::ingest`, which reports the out-of-range case as a \
-                typed `IngestError::PathOutOfRange` instead of a silent bool"
-    )]
-    pub fn observe_digest(&mut self, idx: usize, digest: Digest, t: SimTime) -> bool {
-        if idx >= self.paths.len() {
-            self.counters.unclassified += 1;
-            return false;
-        }
-        self.counters.hash_ops += 1;
-        self.observe_at(idx, digest, t);
-        true
-    }
-
-    /// Observe a batch of pre-classified, pre-digested packets —
+    /// The batch-observation engine behind [`Ingest::ingest`]:
     /// byte-identical in samples, aggregates and [`CostCounters`] to
-    /// calling [`Self::observe_digest`] once per element, but
-    /// amortized: the batch is partitioned per path (per-path
-    /// observation order is preserved; cross-path order is
-    /// unobservable because paths share no state and the counters are
-    /// sums), counter updates become one add per partition, the marker
-    /// (`µ`) and cut (`δ`) threshold checks are precomputed into pass
-    /// masks in tight loops, and the per-path sampler/aggregator take
-    /// their own batch fast paths.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `Ingest::ingest`, which additionally reports rejected entries"
-    )]
-    pub fn observe_batch(&mut self, batch: &[(usize, Digest, SimTime)]) {
-        self.ingest_batch(batch);
-    }
-
-    /// The shared batch-observation engine behind [`Ingest::ingest`]
-    /// and the deprecated [`Self::observe_batch`] shim.
+    /// the per-packet fold, but amortized. The batch is partitioned
+    /// per path (per-path observation order is preserved; cross-path
+    /// order is unobservable because paths share no state and the
+    /// counters are sums), counter updates become one add per
+    /// partition, the marker (`µ`) and cut (`δ`) threshold checks are
+    /// precomputed into pass masks in tight loops, and the per-path
+    /// sampler/aggregator take their own batch fast paths.
     fn ingest_batch(&mut self, batch: &[(usize, Digest, SimTime)]) {
         let Some(&(first_idx, _, _)) = batch.first() else {
             return;
@@ -322,8 +270,8 @@ impl Collector {
         let mut used = 0usize;
         for &(idx, d, t) in batch {
             let Some(slot) = self.scratch_slot.get_mut(idx) else {
-                // Out-of-range index: same accounting as per-packet
-                // `observe_digest` — unclassified, no hash charged.
+                // Out-of-range index: counted unclassified, no hash
+                // charged.
                 self.counters.unclassified += 1;
                 continue;
             };
@@ -381,21 +329,6 @@ impl Collector {
             ps.sampler.observe_batch(items, &self.scratch_markers);
     }
 
-    fn observe_at(&mut self, idx: usize, digest: Digest, t: SimTime) {
-        let ps = &mut self.paths[idx]; // vpm-lint: allow(R1, idx is a registered path index - collector invariant)
-        self.counters.packets += 1;
-        self.counters.timestamp_ops += 1;
-        // §7.1: lookup PathID + update PktCnt + store to temp buffer.
-        self.counters.memory_accesses += 3;
-
-        ps.aggregator.observe(digest, t);
-        if let crate::sampling::ObserveOutcome::Marker { swept, .. } = ps.sampler.observe(digest, t)
-        {
-            // One extra access per buffered packet examined (§7.1).
-            self.counters.marker_sweep_accesses += swept as u64;
-        }
-    }
-
     /// Flush end-of-stream state on every path.
     pub fn flush(&mut self) {
         for ps in &mut self.paths {
@@ -403,10 +336,14 @@ impl Collector {
         }
     }
 
-    /// Drain accumulated samples and finished aggregates for one path.
-    pub fn drain_path(&mut self, idx: usize) -> (Vec<SampleRecord>, Vec<FinishedAggregate>) {
-        let ps = &mut self.paths[idx]; // vpm-lint: allow(R1, idx is a registered path index - collector invariant)
-        (ps.sampler.drain(), ps.aggregator.drain())
+    /// Drain accumulated samples and finished aggregates for one path;
+    /// `None` when `idx` names no registered path.
+    pub fn drain_path(
+        &mut self,
+        idx: usize,
+    ) -> Option<(Vec<SampleRecord>, Vec<FinishedAggregate>)> {
+        let ps = self.paths.get_mut(idx)?;
+        Some((ps.sampler.drain(), ps.aggregator.drain()))
     }
 
     /// Drain every path's samples and finished aggregates directly into
@@ -468,11 +405,10 @@ impl Ingest for Collector {
     /// Observe one batch of pre-classified, pre-digested packets.
     ///
     /// State and [`CostCounters`] end up byte-identical to the
-    /// per-packet fold (pinned by `batch_observe_matches_per_packet`);
-    /// on top of that, every entry naming an unregistered path index
-    /// comes back as a typed [`IngestError::PathOutOfRange`] — the
-    /// entry itself is counted as unclassified and charged no hash,
-    /// exactly as before.
+    /// per-packet fold (pinned by this module's `ingest_equals_per_packet`
+    /// properties); every entry naming an unregistered path index comes
+    /// back as a typed [`IngestError::PathOutOfRange`], and the entry
+    /// itself is counted as unclassified and charged no hash.
     fn ingest(&mut self, batch: &[(usize, Digest, SimTime)]) -> IngestReport {
         let paths = self.paths.len();
         let mut errors = Vec::new();
@@ -509,13 +445,9 @@ impl Ingest for Collector {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated observe trio stays byte-identical to `ingest`
-    // for its one-release deprecation window; these tests keep
-    // exercising it until it is deleted.
-    #![allow(deprecated)]
-
     use super::*;
-    use vpm_packet::{DomainId, HeaderSpec, HopId, SimDuration};
+    use proptest::prelude::*;
+    use vpm_packet::{DomainId, HeaderSpec, HopId, Ipv4Prefix, SimDuration};
 
     fn config() -> HopConfig {
         HopConfig::new(HopId(4), DomainId(2))
@@ -545,25 +477,73 @@ mod tests {
         t
     }
 
+    /// The per-packet reference fold the batch engine is tested
+    /// against: observe one pre-classified, pre-digested packet and
+    /// charge its hash, or — when `idx` names no registered path —
+    /// count it unclassified and charge nothing.
+    fn observe_per_packet(c: &mut Collector, idx: usize, digest: Digest, t: SimTime) {
+        let Some(ps) = c.paths.get_mut(idx) else {
+            c.counters.unclassified += 1;
+            return;
+        };
+        c.counters.packets += 1;
+        c.counters.hash_ops += 1;
+        c.counters.timestamp_ops += 1;
+        // §7.1: lookup PathID + update PktCnt + store to temp buffer.
+        c.counters.memory_accesses += 3;
+        ps.aggregator.observe(digest, t);
+        if let crate::sampling::ObserveOutcome::Marker { swept, .. } = ps.sampler.observe(digest, t)
+        {
+            // One extra access per buffered packet examined (§7.1).
+            c.counters.marker_sweep_accesses += swept as u64;
+        }
+    }
+
+    /// The driver shape: classify and digest every packet, ingest the
+    /// classified ones as one batch, and return each packet's
+    /// classification.
+    fn ingest_packets<'a>(
+        c: &mut Collector,
+        packets: impl IntoIterator<Item = (&'a Packet, SimTime)>,
+    ) -> Vec<Option<usize>> {
+        let mut classes = Vec::new();
+        let mut batch = Vec::new();
+        for (pkt, t) in packets {
+            let idx = c.classify(pkt);
+            if let Some(i) = idx {
+                batch.push((i, pkt.digest(), t));
+            }
+            classes.push(idx);
+        }
+        let report = c.ingest(&batch);
+        assert!(report.is_clean());
+        assert_eq!(report.accepted, batch.len() as u64);
+        classes
+    }
+
+    fn ingest_trace(c: &mut Collector, trace: &[vpm_trace::TracePacket]) -> Vec<Option<usize>> {
+        ingest_packets(c, trace.iter().map(|tp| (&tp.packet, tp.ts)))
+    }
+
     #[test]
     fn classifies_and_counts() {
         let trace = mk_trace(5_000);
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let mut c = Collector::new(config());
         c.register_path(path_id(spec));
-        for tp in &trace {
-            assert!(c.observe(&tp.packet, tp.ts).is_some());
-        }
+        assert!(ingest_trace(&mut c, &trace).iter().all(Option::is_some));
         c.flush();
         let counters = c.counters();
         assert_eq!(counters.packets, trace.len() as u64);
         assert_eq!(counters.hash_ops, trace.len() as u64);
         assert_eq!(counters.timestamp_ops, trace.len() as u64);
         assert_eq!(counters.memory_accesses, 3 * trace.len() as u64);
-        let (samples, aggs) = c.drain_path(0);
+        let (samples, aggs) = c.drain_path(0).unwrap();
         assert!(!samples.is_empty());
         let total: u64 = aggs.iter().map(|a| a.pkt_cnt).sum();
         assert_eq!(total, trace.len() as u64);
+        // An unregistered index drains nothing instead of panicking.
+        assert!(c.drain_path(c.path_count()).is_none());
     }
 
     #[test]
@@ -574,13 +554,8 @@ mod tests {
             "1.0.0.0/8".parse().unwrap(),
             "2.0.0.0/8".parse().unwrap(),
         )));
-        for tp in &trace {
-            assert!(c.observe(&tp.packet, tp.ts).is_none());
-        }
+        assert!(ingest_trace(&mut c, &trace).iter().all(Option::is_none));
         assert_eq!(c.counters().packets, 0);
-        // Every rejected packet is accounted — nothing silently
-        // disappears from the cost model.
-        assert_eq!(c.counters().unclassified, trace.len() as u64);
         assert_eq!(c.counters().hash_ops, 0, "no digest for unmatched packets");
     }
 
@@ -590,13 +565,17 @@ mod tests {
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let mut c = Collector::new(config());
         let idx = c.register_path(path_id(spec));
-        assert!(c.observe_digest(idx, Digest(1), SimTime::ZERO));
+        assert!(c.ingest(&[(idx, Digest(1), SimTime::ZERO)]).is_clean());
         // A bogus index must not charge a hash for work never done,
         // must not update any path, and must count as unclassified.
         let before = c.counters();
-        for tp in trace.iter().take(5) {
-            assert!(!c.observe_digest(7, tp.packet.digest(), tp.ts));
-        }
+        let bogus: Vec<(usize, Digest, SimTime)> = trace
+            .iter()
+            .take(5)
+            .map(|tp| (7, tp.packet.digest(), tp.ts))
+            .collect();
+        let report = c.ingest(&bogus);
+        assert_eq!((report.accepted, report.rejected()), (0, 5));
         let after = c.counters();
         assert_eq!(after.hash_ops, before.hash_ops);
         assert_eq!(after.packets, before.packets);
@@ -613,13 +592,13 @@ mod tests {
         let mut c = Collector::new(config());
         let decoy_idx = c.register_path(path_id(decoy));
         let real_idx = c.register_path(path_id(real_spec));
-        for tp in &trace {
-            assert_eq!(c.observe(&tp.packet, tp.ts), Some(real_idx));
-        }
+        assert!(ingest_trace(&mut c, &trace)
+            .iter()
+            .all(|&idx| idx == Some(real_idx)));
         c.flush();
-        let (s_decoy, a_decoy) = c.drain_path(decoy_idx);
+        let (s_decoy, a_decoy) = c.drain_path(decoy_idx).unwrap();
         assert!(s_decoy.is_empty() && a_decoy.is_empty());
-        let (s_real, a_real) = c.drain_path(real_idx);
+        let (s_real, a_real) = c.drain_path(real_idx).unwrap();
         assert!(!s_real.is_empty() && !a_real.is_empty());
     }
 
@@ -632,10 +611,7 @@ mod tests {
             c.monitoring_cache_bytes(),
             crate::overhead::PER_PATH_STATE_BYTES
         );
-        let trace = mk_trace(300);
-        for tp in &trace {
-            c.observe(&tp.packet, tp.ts);
-        }
+        ingest_trace(&mut c, &mk_trace(300));
         // Some packets should be buffered awaiting a marker.
         assert!(c.temp_buffer_bytes() > 0);
     }
@@ -651,10 +627,8 @@ mod tests {
         for i in 0..n_paths {
             // /32-pair paths: each matches exactly one host pair.
             let spec = HeaderSpec::new(
-                vpm_packet::Ipv4Prefix::new(Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8), 32)
-                    .unwrap(),
-                vpm_packet::Ipv4Prefix::new(Ipv4Addr::new(20, 0, (i >> 8) as u8, i as u8), 32)
-                    .unwrap(),
+                Ipv4Prefix::new(Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8), 32).unwrap(),
+                Ipv4Prefix::new(Ipv4Addr::new(20, 0, (i >> 8) as u8, i as u8), 32).unwrap(),
             );
             c.register_path(path_id(spec));
         }
@@ -664,32 +638,23 @@ mod tests {
         );
         // Send 50 packets down each of three scattered paths.
         for &target in &[0u16, 57, 199] {
-            for k in 0..50u16 {
-                let mut pkt = vpm_packet::Packet {
-                    seq: 0,
-                    ipv4: vpm_packet::Ipv4Header::simple(
+            let packets: Vec<(Packet, SimTime)> = (0..50u16)
+                .map(|k| {
+                    let mut pkt = pkt(
                         Ipv4Addr::new(10, 0, (target >> 8) as u8, target as u8),
                         Ipv4Addr::new(20, 0, (target >> 8) as u8, target as u8),
-                        vpm_packet::ipv4::PROTO_UDP,
-                        28,
-                    ),
-                    transport: vpm_packet::Transport::Udp(vpm_packet::UdpHeader {
-                        sport: 1000 + k,
-                        dport: 53,
-                        length: 8,
-                    }),
-                    payload_len: 0,
-                };
-                pkt.ipv4.id = k;
-                assert_eq!(
-                    c.observe(&pkt, SimTime::from_micros(k as u64 * 10)),
-                    Some(target as usize)
-                );
-            }
+                        1000 + k,
+                    );
+                    pkt.ipv4.id = k;
+                    (pkt, SimTime::from_micros(k as u64 * 10))
+                })
+                .collect();
+            let classes = ingest_packets(&mut c, packets.iter().map(|(p, t)| (p, *t)));
+            assert!(classes.iter().all(|&idx| idx == Some(target as usize)));
         }
         c.flush();
         for i in 0..n_paths as usize {
-            let (samples, aggs) = c.drain_path(i);
+            let (samples, aggs) = c.drain_path(i).unwrap();
             let total: u64 = aggs.iter().map(|a| a.pkt_cnt).sum();
             if [0usize, 57, 199].contains(&i) {
                 assert_eq!(total, 50, "path {i}");
@@ -712,7 +677,6 @@ mod tests {
             payload_len: 0,
         }
     }
-
     /// The classifier index must preserve the linear scan's
     /// first-registered-match-wins semantics when exact `/32`-pair and
     /// prefix paths overlap.
@@ -768,9 +732,9 @@ mod tests {
         }
     }
 
-    /// `observe_batch` must be byte-identical to per-packet
-    /// `observe_digest` — samples, aggregates, and cost counters —
-    /// including runs across multiple paths and invalid indices.
+    /// `Ingest::ingest` must be byte-identical to the per-packet fold
+    /// — samples, aggregates, and cost counters — including runs
+    /// across multiple paths and invalid indices.
     #[test]
     fn batch_observe_matches_per_packet() {
         let trace = mk_trace(20_000);
@@ -795,18 +759,19 @@ mod tests {
             })
             .collect();
 
-        let mut per_packet = mk();
-        for &(idx, d, t) in &batch {
-            per_packet.observe_digest(idx, d, t);
-        }
-        per_packet.flush();
-
         for batch_size in [1usize, 64, 257] {
-            let mut batched = mk();
-            for chunk in batch.chunks(batch_size) {
-                batched.observe_batch(chunk);
+            let mut per_packet = mk();
+            for &(idx, d, t) in &batch {
+                observe_per_packet(&mut per_packet, idx, d, t);
             }
+            per_packet.flush();
+            let mut batched = mk();
+            let rejected: u64 = batch
+                .chunks(batch_size)
+                .map(|chunk| batched.ingest(chunk).rejected())
+                .sum();
             batched.flush();
+            assert_eq!(rejected, per_packet.counters().unclassified);
             assert_eq!(per_packet.counters(), batched.counters(), "bs {batch_size}");
             for idx in 0..2 {
                 let (s_a, a_a) = {
@@ -827,16 +792,17 @@ mod tests {
             let mut s2 = Vec::new();
             let mut g2 = Vec::new();
             for idx in 0..2 {
-                let (recs, aggs) = per_packet.drain_path(idx);
+                let path = per_packet.path(idx).unwrap().path;
+                let (recs, aggs) = per_packet.drain_path(idx).unwrap();
                 if !recs.is_empty() {
-                    s2.push(crate::receipt::SampleReceipt {
-                        path: per_packet.path(idx).unwrap().path,
+                    s2.push(SampleReceipt {
+                        path,
                         samples: recs,
                     });
                 }
                 for f in aggs {
-                    g2.push(crate::receipt::AggReceipt {
-                        path: per_packet.path(idx).unwrap().path,
+                    g2.push(AggReceipt {
+                        path,
                         agg: f.agg,
                         pkt_cnt: f.pkt_cnt,
                         agg_trans: f.agg_trans,
@@ -845,11 +811,6 @@ mod tests {
             }
             assert_eq!(s1, s2, "bs {batch_size}");
             assert_eq!(g1, g2, "bs {batch_size}");
-            per_packet = mk();
-            for &(idx, d, t) in &batch {
-                per_packet.observe_digest(idx, d, t);
-            }
-            per_packet.flush();
         }
     }
 
@@ -876,17 +837,17 @@ mod tests {
         // Observations after the duplicate registration land on the
         // one true slot.
         let trace = mk_trace(500);
-        for tp in &trace {
-            assert_eq!(c.observe(&tp.packet, tp.ts), Some(a));
-        }
+        assert!(ingest_trace(&mut c, &trace)
+            .iter()
+            .all(|&idx| idx == Some(a)));
         c.flush();
-        let (_, aggs) = c.drain_path(a);
+        let (_, aggs) = c.drain_path(a).unwrap();
         let total: u64 = aggs.iter().map(|x| x.pkt_cnt).sum();
         assert_eq!(total, trace.len() as u64);
     }
 
     /// `Ingest::ingest` must (a) leave state and counters exactly as
-    /// the per-packet `observe_digest` fold would, and (b) surface
+    /// the per-packet fold would, and (b) surface
     /// each out-of-range entry as a typed `PathOutOfRange` carrying
     /// its batch position.
     #[test]
@@ -912,7 +873,7 @@ mod tests {
         let mut reference = Collector::new(config());
         reference.register_path(path_id(spec));
         for &(i, d, t) in &batch {
-            reference.observe_digest(i, d, t);
+            observe_per_packet(&mut reference, i, d, t);
         }
 
         let report = c.ingest(&batch);
@@ -959,9 +920,7 @@ mod tests {
         let spec = vpm_trace::TraceConfig::paper_default(1, 0).spec;
         let mut c = Collector::new(config());
         c.register_path(path_id(spec));
-        for tp in &trace {
-            c.observe(&tp.packet, tp.ts);
-        }
+        ingest_trace(&mut c, &trace);
         let counters = c.counters();
         // Every non-marker packet is swept exactly once (when the next
         // marker arrives), so sweep accesses ≈ packets − markers −
@@ -969,5 +928,161 @@ mod tests {
         let ps = c.path(0).unwrap();
         let expected = counters.packets - ps.sampler.stats().markers - ps.sampler.buffered() as u64;
         assert_eq!(counters.marker_sweep_accesses, expected);
+    }
+
+    // Equivalence of `Ingest::ingest` with the per-packet fold over
+    // synthetic streams: for any batch size and any interleaving of
+    // paths, the samples, aggregates, and cost counters must match.
+
+    fn spec32(tag: u8) -> HeaderSpec {
+        HeaderSpec::new(
+            Ipv4Prefix::new(std::net::Ipv4Addr::new(10, 0, 0, tag), 32).unwrap(),
+            Ipv4Prefix::new(std::net::Ipv4Addr::new(20, 0, 0, tag), 32).unwrap(),
+        )
+    }
+
+    fn mk_multi(n_paths: u8, buffer_cap: Option<usize>) -> Collector {
+        let mut cfg = config().with_aggregate_size(200);
+        if let Some(cap) = buffer_cap {
+            cfg = cfg.with_buffer_cap(cap);
+        }
+        let mut c = Collector::new(cfg);
+        for tag in 0..n_paths {
+            c.register_path(path_id(spec32(tag)));
+        }
+        c
+    }
+
+    /// Flush, then drain both collectors into receipt form and compare
+    /// everything observable.
+    fn assert_identical(mut a: Collector, mut b: Collector, context: &str) {
+        a.flush();
+        b.flush();
+        assert_eq!(a.counters(), b.counters(), "counters differ: {context}");
+        let drain = |c: &mut Collector| -> (Vec<SampleReceipt>, Vec<AggReceipt>) {
+            let mut s = Vec::new();
+            let mut g = Vec::new();
+            c.drain_receipts(&mut s, &mut g);
+            (s, g)
+        };
+        let (sa, ga) = drain(&mut a);
+        let (sb, gb) = drain(&mut b);
+        assert_eq!(sa, sb, "samples differ: {context}");
+        assert_eq!(ga, gb, "aggregates differ: {context}");
+    }
+
+    fn synth_stream(seed: u64, n: usize, n_paths: u8) -> Vec<(usize, Digest, SimTime)> {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                // Mostly valid path indices, occasionally out of range —
+                // the batch path must reproduce the per-packet rejection
+                // accounting too.
+                let idx = if i % 97 == 96 {
+                    n_paths as usize + 3
+                } else {
+                    rng.gen_range(0..n_paths as usize)
+                };
+                (idx, Digest(rng.gen()), SimTime::from_micros(10 * i as u64))
+            })
+            .collect()
+    }
+
+    /// Per-packet reference and batched ingest of the same stream.
+    fn both_ways(
+        stream: &[(usize, Digest, SimTime)],
+        batch_size: usize,
+        mk: impl Fn() -> Collector,
+    ) -> (Collector, Collector) {
+        let mut per_packet = mk();
+        for &(idx, d, t) in stream {
+            observe_per_packet(&mut per_packet, idx, d, t);
+        }
+        let mut batched = mk();
+        let rejected: u64 = stream
+            .chunks(batch_size)
+            .map(|chunk| batched.ingest(chunk).rejected())
+            .sum();
+        assert_eq!(rejected, per_packet.counters().unclassified);
+        (per_packet, batched)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The headline contract: any batch size in 1..=257, any number
+        /// of paths, with or without a sampler buffer cap.
+        #[test]
+        fn ingest_equals_per_packet(
+            seed in any::<u64>(),
+            batch_size in 1usize..=257,
+            n_paths in 1u8..6,
+            cap_sel in 0usize..3,
+        ) {
+            let cap = [None, Some(16usize), Some(256usize)][cap_sel];
+            let stream = synth_stream(seed, 6_000, n_paths);
+            let (per_packet, batched) = both_ways(&stream, batch_size, || mk_multi(n_paths, cap));
+            assert_identical(
+                per_packet,
+                batched,
+                &format!("bs={batch_size} paths={n_paths} cap={cap:?}"),
+            );
+        }
+    }
+
+    /// Deterministic spot check at the batch sizes the ring buffers and
+    /// chunked drivers actually use.
+    #[test]
+    fn ingest_equals_per_packet_at_driver_sizes() {
+        let stream = synth_stream(7, 30_000, 4);
+        for batch_size in [1usize, 2, 255, 256, 257, 4096] {
+            let (per_packet, batched) = both_ways(&stream, batch_size, || mk_multi(4, None));
+            assert_identical(per_packet, batched, &format!("bs={batch_size}"));
+        }
+    }
+
+    /// Batching must also commute with interleaved reporting intervals:
+    /// report → more batches → report yields the same receipt stream.
+    #[test]
+    fn ingest_commutes_with_reporting() {
+        let stream = synth_stream(21, 20_000, 3);
+        let run = |batch_size: Option<usize>| {
+            let mut c = mk_multi(3, None);
+            let mut p = crate::Processor::new(HopId(4));
+            let mut samples = Vec::new();
+            let mut aggs = Vec::new();
+            let mut report = |c: &mut Collector| {
+                let b = p.report(c);
+                samples.extend(b.samples.into_iter().flat_map(|r| r.samples));
+                aggs.extend(b.aggregates);
+            };
+            for part in stream.chunks(stream.len() / 4 + 1) {
+                match batch_size {
+                    Some(bs) => {
+                        for chunk in part.chunks(bs) {
+                            // Out-of-range entries are expected; the
+                            // receipts are what is compared.
+                            let _ = c.ingest(chunk);
+                        }
+                    }
+                    None => {
+                        for &(idx, d, t) in part {
+                            observe_per_packet(&mut c, idx, d, t);
+                        }
+                    }
+                }
+                report(&mut c);
+            }
+            c.flush();
+            report(&mut c);
+            (samples, aggs)
+        };
+        let per_packet = run(None);
+        for bs in [64, 257] {
+            let batched = run(Some(bs));
+            assert_eq!(per_packet.0, batched.0, "bs={bs}");
+            assert_eq!(per_packet.1, batched.1, "bs={bs}");
+        }
     }
 }

@@ -1,27 +1,17 @@
 //! The batch-first ingest surface.
 //!
 //! [`Ingest`] is *the* way packets enter a collector: one call per
-//! pre-classified, pre-digested batch, one [`IngestReport`] back. It
-//! replaces the historical `observe` / `observe_digest` /
-//! `observe_batch` trio on [`Collector`](crate::Collector), whose
-//! three `&mut self` entry points and silent-`bool` error signalling
-//! could not stretch across per-core collectors (which one of the
-//! three would a shard router forward, and to whom would the `bool`
-//! go?). Batch-first fixes both at once:
+//! pre-classified, pre-digested batch, one [`IngestReport`] back.
 //!
-//! * **One entry point.** [`Collector`](crate::Collector) and the
-//!   multi-core [`ShardedCollector`](crate::ShardedCollector) are
-//!   interchangeable behind `impl Ingest` — `Processor::report`,
-//!   `run_path`, and the benches are generic over it.
+//! * **One entry point.** [`Collector`](crate::Collector) implements
+//!   it; `Processor::report`, `run_path`, and the benches are generic
+//!   over `impl Ingest`. Multi-core throughput comes from one
+//!   collector per path worker (see [`par_map_indexed`](crate::par_map_indexed)),
+//!   not from splitting one HOP across cores.
 //! * **Typed errors.** An entry naming an unregistered path index
 //!   comes back as [`IngestError::PathOutOfRange`] in the report
-//!   (position, offending index, table size) instead of a dropped
-//!   `bool`. Accounting is unchanged: the entry still counts into
-//!   [`CostCounters::unclassified`] and is charged no hash, exactly as
-//!   the per-packet fold did.
-//!
-//! The deprecated trio remains as thin shims for one release so
-//! downstream code migrates on its own schedule.
+//!   (position, offending index, table size). The entry counts into
+//!   [`CostCounters::unclassified`] and is charged no hash.
 
 use vpm_hash::Digest;
 use vpm_packet::SimTime;
@@ -98,8 +88,7 @@ impl IngestReport {
 }
 
 /// The batch-first ingest surface implemented by
-/// [`Collector`](crate::Collector) and
-/// [`ShardedCollector`](crate::ShardedCollector).
+/// [`Collector`](crate::Collector).
 ///
 /// A batch entry is `(path index, digest, timestamp)` — classification
 /// and digesting happen upstream (see `Collector::classify` and
@@ -110,9 +99,9 @@ impl IngestReport {
 ///
 /// Implementations guarantee that for the same registration order and
 /// the same batches, `flush` + `drain_receipts` produce byte-identical
-/// receipts regardless of internal layout (single core or sharded) —
-/// that identity is what lets the rest of the pipeline treat the
-/// collector plane as a black box.
+/// receipts regardless of how the batches are sized — that identity
+/// is what lets the rest of the pipeline treat the collector plane as
+/// a black box.
 pub trait Ingest {
     /// Observe one batch; returns per-batch accounting including a
     /// typed error for every rejected entry.

@@ -54,7 +54,6 @@ pub mod partition;
 pub mod processor;
 pub mod receipt;
 pub mod sampling;
-pub mod sharded;
 pub mod verify;
 
 pub use aggregation::Aggregator;
@@ -66,5 +65,4 @@ pub use partition::Partition;
 pub use processor::{Processor, ReceiptBatch};
 pub use receipt::{AggId, AggReceipt, PathId, SampleReceipt, SampleRecord, SHARD_SEED};
 pub use sampling::DelaySampler;
-pub use sharded::ShardedCollector;
 pub use verify::{DomainEstimate, Verifier};

@@ -165,11 +165,6 @@ impl Processor {
 
     /// Drain the collector into a signed receipt batch (one pass over
     /// the collector plane's path table via [`Ingest::drain_receipts`]).
-    ///
-    /// Generic over the whole ingest surface: a single-core
-    /// [`Collector`](crate::Collector) and a multi-core
-    /// [`ShardedCollector`](crate::ShardedCollector) produce
-    /// byte-identical batches for the same registrations and traffic.
     pub fn report<I: Ingest + ?Sized>(&mut self, collector: &mut I) -> ReceiptBatch {
         let mut samples = Vec::new();
         let mut aggregates = Vec::new();

@@ -33,9 +33,8 @@ pub struct PathId {
 
 /// Seed for the stable shard hash (lookup3 over the `PathID` fields):
 /// `"SHARDS01"`. Shared by every plane that partitions work by path —
-/// the wire transport's sharded bus and the multi-core
-/// [`ShardedCollector`](crate::ShardedCollector) — so a path always
-/// lands on the same shard index no matter which layer is sharding.
+/// today the wire transport's sharded bus — so a path always lands on
+/// the same shard index no matter which layer is sharding.
 pub const SHARD_SEED: u64 = 0x5348_4152_4453_3031; // "SHARDS01"
 
 impl PathId {
@@ -43,13 +42,11 @@ impl PathId {
     /// of the `PathID` fields under [`SHARD_SEED`].
     ///
     /// This is *the* path-sharding hash of the system. The sharded
-    /// receipt bus (`vpm-wire`) and the multi-core
-    /// [`ShardedCollector`](crate::ShardedCollector) both reduce this
-    /// key modulo their shard count, so co-locating collector shards
-    /// with bus shards is a matter of matching shard counts, not of
-    /// re-deriving a second hash. The encoding (and therefore every
-    /// existing shard assignment) is unchanged from the bus-private
-    /// hash it replaces.
+    /// receipt bus (`vpm-wire`) reduces this key modulo its shard
+    /// count; any future per-path partition of work should reuse it
+    /// rather than derive a second hash. The encoding (and therefore
+    /// every existing shard assignment) is unchanged from the
+    /// bus-private hash it replaces.
     pub fn shard_key(&self) -> u64 {
         let mut b = [0u8; 24];
         b[0..4].copy_from_slice(&u32::from(self.spec.src_prefix.network()).to_le_bytes()); // vpm-lint: allow(R1, b is a fixed 24-byte array with constant offsets)

@@ -941,9 +941,9 @@ impl ReceiptTransport for InMemoryBus {
 }
 
 /// The path-shard hash lives on `PathId` itself
-/// ([`PathId::shard_key`], seeded with [`vpm_core::SHARD_SEED`]) so the
-/// multi-core `ShardedCollector` and this bus agree on shard
-/// assignment by construction. Only the HOP-key derivation is
+/// ([`PathId::shard_key`], seeded with [`vpm_core::SHARD_SEED`]) so
+/// any plane that partitions work by path agrees with this bus on
+/// shard assignment by construction. Only the HOP-key derivation is
 /// bus-local.
 fn shard_key_path(path: &PathId) -> u64 {
     path.shard_key()

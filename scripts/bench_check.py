@@ -17,10 +17,10 @@ Schema gate (always on) — fails (exit 1) when a required key is
 missing, a variant has no throughput field, any value that must be
 numeric is missing, non-numeric, or non-finite, or variant names
 collide. `BENCH_collector.json` must carry the SIMD-vs-scalar digest
-rows, the sharded multi-core ingest row, and the 100k-path regime
-(`classify_paper_scale` / `ingest_paper_scale`), plus the
-`simd_digest_speedup` / `sharded_speedup` summaries: the current
-architecture's ceilings are part of the collector bench's contract.
+rows and the 100k-path regime (`classify_paper_scale` /
+`ingest_paper_scale`), plus the `simd_digest_speedup` summary: the
+current architecture's ceilings are part of the collector bench's
+contract.
 `BENCH_wire.json` must additionally carry the signed-frame
 variants (`encode_signed_*` / `verify_signed_*`): the authenticity
 plane is part of the wire bench's contract, not an optional extra.
@@ -67,19 +67,15 @@ RATE_SUFFIXES = ("_per_s",)
 RATE_NAMES = ("mb_per_s", "mpps")
 
 # The collector bench must carry the current architecture's ceiling
-# rows: the multi-lane SIMD digest kernel against its scalar twin, the
-# sharded multi-core ingest plane, and the paper's 100k-path regime.
+# rows: the multi-lane SIMD digest kernel against its scalar twin and
+# the paper's 100k-path regime.
 REQUIRED_COLLECTOR_VARIANTS = (
     "digest_batch_scalar",
     "digest_batch_words",
-    "ingest_sharded",
     "classify_paper_scale",
     "ingest_paper_scale",
 )
-REQUIRED_COLLECTOR_SUMMARIES = (
-    "simd_digest_speedup",
-    "sharded_speedup",
-)
+REQUIRED_COLLECTOR_SUMMARIES = ("simd_digest_speedup",)
 
 # The wire bench must measure the authenticity plane: signed-frame
 # encode and MAC verification alongside the unsigned baseline.
@@ -192,13 +188,13 @@ def check_schema(path: str, report: dict, require_contract: bool = True) -> dict
         missing = [v for v in REQUIRED_COLLECTOR_VARIANTS if v not in by_name]
         if missing:
             fail(
-                f"{path}: SIMD/sharded/paper-scale variants missing from "
+                f"{path}: SIMD/paper-scale variants missing from "
                 f"the collector bench: {', '.join(missing)}"
             )
         missing = [s for s in REQUIRED_COLLECTOR_SUMMARIES if s not in report]
         if missing:
             fail(
-                f"{path}: SIMD/sharded summaries missing from the "
+                f"{path}: SIMD summaries missing from the "
                 f"collector bench: {', '.join(missing)}"
             )
 

@@ -22,7 +22,7 @@
 //!                 [--checkpoint-paths P] [--repeats R] [--json]
 //!                                    measure audit throughput, GC reclaim
 //!                                    rate, and checkpoint codec cost
-//! vpm bench-collector [--packets N] [--paths P] [--batch B] [--shards S] [--repeats R] [--json]
+//! vpm bench-collector [--packets N] [--paths P] [--batch B] [--repeats R] [--json]
 //!                                    measure the collector hot path
 //! vpm bench-wire [--receipts N] [--records N] [--aggs N] [--window W]
 //!                [--repeats R] [--json]
@@ -98,12 +98,12 @@ fn print_usage() {
                                                 GC reclaim rate, and checkpoint\n\
                                                 encode/restore cost; write\n\
                                                 BENCH_audit.json\n\
-           bench-collector [--packets N] [--paths P] [--batch B] [--shards S]\n\
+           bench-collector [--packets N] [--paths P] [--batch B]\n\
                            [--repeats R] [--json]\n\
                                                 measure collector hot-path ns/packet and\n\
-                                                Mpps (linear scan vs classifier index,\n\
-                                                per-packet vs batched; min over R timed\n\
-                                                repeats) and write BENCH_collector.json\n\
+                                                Mpps (batch ingest, SIMD digest, 100k-path\n\
+                                                classify; min over R timed repeats) and\n\
+                                                write BENCH_collector.json\n\
            bench-wire [--receipts N] [--records N] [--aggs N]\n\
                       [--window W] [--repeats R] [--json]\n\
                                                 measure wire-codec encode/decode MB/s\n\
@@ -635,7 +635,7 @@ fn bench_audit(args: &[String]) -> ExitCode {
 }
 
 /// Parse and run `vpm bench-collector [--packets N] [--paths P]
-/// [--batch B] [--shards S] [--repeats R] [--json]`.
+/// [--batch B] [--repeats R] [--json]`.
 fn bench_collector(args: &[String]) -> ExitCode {
     let mut cfg = vpm::bench::collector_bench::CollectorBenchConfig::default();
     let mut json = false;
@@ -647,7 +647,7 @@ fn bench_collector(args: &[String]) -> ExitCode {
                 json = true;
                 i += 1;
             }
-            "--packets" | "--paths" | "--batch" | "--shards" | "--repeats" => {
+            "--packets" | "--paths" | "--batch" | "--repeats" => {
                 let Some(v) = args.get(i + 1) else {
                     eprintln!("vpm: {flag} needs a number");
                     return usage();
@@ -663,7 +663,6 @@ fn bench_collector(args: &[String]) -> ExitCode {
                     "--packets" => cfg.packets = parsed,
                     "--paths" => cfg.paths = parsed,
                     "--batch" => cfg.batch = parsed,
-                    "--shards" => cfg.shards = parsed,
                     _ => cfg.repeats = parsed,
                 }
                 i += 2;

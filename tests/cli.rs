@@ -385,6 +385,10 @@ fn bench_collector_rejects_bad_flags() {
             vec!["bench-collector", "--frobnicate"],
             "unknown bench-collector option",
         ),
+        (
+            vec!["bench-collector", "--shards", "2"],
+            "unknown bench-collector option",
+        ),
     ] {
         let out = vpm(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
