@@ -75,6 +75,7 @@ fn bench_ingest_200paths(c: &mut Criterion) {
         paths: 200,
         batch: 4096,
         repeats: 1,
+        ..CollectorBenchConfig::default()
     };
     let w = build_workload(&cfg);
     let triples: Vec<(usize, Digest, SimTime)> = (0..w.packets.len())

@@ -42,6 +42,12 @@ pub struct AuditBenchConfig {
     pub checkpoint_paths: usize,
     /// Timed repetitions per variant (the minimum is reported).
     pub repeats: usize,
+    /// Host fact, not a knob: the cores the run could use
+    /// ([`crate::available_parallelism`]).
+    pub available_parallelism: usize,
+    /// Host fact, not a knob: whether HMAC-SHA-256 ran on the
+    /// SHA-extension kernel ([`vpm_hash::has_sha_ni`]).
+    pub sha_ni: bool,
 }
 
 impl Default for AuditBenchConfig {
@@ -53,6 +59,8 @@ impl Default for AuditBenchConfig {
             gc_every: 16,
             checkpoint_paths: 4096,
             repeats: 3,
+            available_parallelism: crate::available_parallelism(),
+            sha_ni: vpm_hash::has_sha_ni(),
         }
     }
 }
@@ -250,6 +258,7 @@ mod tests {
             gc_every: 8,
             checkpoint_paths: 64,
             repeats: 1,
+            ..AuditBenchConfig::default()
         };
         let report = run(&cfg);
         let names: Vec<&str> = report.results.iter().map(|r| r.name.as_str()).collect();

@@ -42,6 +42,12 @@ pub struct CollectorBenchConfig {
     pub batch: usize,
     /// Timed repetitions per variant (the minimum is reported).
     pub repeats: usize,
+    /// Host fact, not a knob: the cores the run could use
+    /// ([`crate::available_parallelism`]).
+    pub available_parallelism: usize,
+    /// Host fact, not a knob: whether HMAC-SHA-256 ran on the
+    /// SHA-extension kernel ([`vpm_hash::has_sha_ni`]).
+    pub sha_ni: bool,
 }
 
 impl Default for CollectorBenchConfig {
@@ -54,6 +60,8 @@ impl Default for CollectorBenchConfig {
             // over.
             batch: 4096,
             repeats: 3,
+            available_parallelism: crate::available_parallelism(),
+            sha_ni: vpm_hash::has_sha_ni(),
         }
     }
 }
@@ -368,6 +376,7 @@ mod tests {
             paths: 37,
             batch: 64,
             repeats: 1,
+            ..CollectorBenchConfig::default()
         };
         let w = build_workload(&cfg);
         let col = mk_collector(&w);
@@ -388,6 +397,7 @@ mod tests {
             paths: 20,
             batch: 128,
             repeats: 1,
+            ..CollectorBenchConfig::default()
         });
         let names: Vec<&str> = report.results.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(

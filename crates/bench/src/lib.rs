@@ -23,6 +23,14 @@ pub fn bench_trace(ms: u64, seed: u64) -> Vec<TracePacket> {
     .generate()
 }
 
+/// Cores this process may run on, as
+/// [`std::thread::available_parallelism`] reports them (1 when the
+/// host cannot say). Every bench config records it next to `sha_ni`,
+/// so a trend comparison can tell a slower host from slower code.
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Print a banner separating regenerated-figure output from Criterion
 /// timing noise.
 pub fn banner(title: &str) {

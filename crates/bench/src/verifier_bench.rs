@@ -55,6 +55,12 @@ pub struct VerifierBenchConfig {
     pub subs: usize,
     /// Timed repetitions per variant (the minimum is reported).
     pub repeats: usize,
+    /// Host fact, not a knob: the cores the run could use
+    /// ([`crate::available_parallelism`]).
+    pub available_parallelism: usize,
+    /// Host fact, not a knob: whether HMAC-SHA-256 ran on the
+    /// SHA-extension kernel ([`vpm_hash::has_sha_ni`]).
+    pub sha_ni: bool,
 }
 
 impl Default for VerifierBenchConfig {
@@ -66,6 +72,8 @@ impl Default for VerifierBenchConfig {
             frames: 1500,
             subs: 8,
             repeats: 3,
+            available_parallelism: crate::available_parallelism(),
+            sha_ni: vpm_hash::has_sha_ni(),
         }
     }
 }
@@ -415,6 +423,7 @@ mod tests {
             frames: 64,
             subs: 2,
             repeats: 1,
+            ..VerifierBenchConfig::default()
         }
     }
 

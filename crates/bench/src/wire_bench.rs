@@ -5,7 +5,9 @@
 //! compact; this harness makes both halves of that claim measurable on
 //! every checkout: encode/decode throughput (MB/s and receipts/s) for
 //! the v1 binary codec in both profiles, the JSON shim path it
-//! replaces, and the resulting bytes-per-sample. `vpm bench-wire`
+//! replaces, and the resulting bytes-per-sample. The `hmac_*` rows time
+//! the MAC every signed frame carries on its own, on the host's
+//! dispatched SHA-256 kernel and on the portable one. `vpm bench-wire`
 //! serializes the report to `BENCH_wire.json`, landing next to
 //! `BENCH_collector.json` in the repo's performance trajectory.
 
@@ -14,7 +16,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use vpm_core::processor::ReceiptBatch;
 use vpm_core::receipt::{AggId, AggReceipt, PathId, SampleReceipt, SampleRecord};
-use vpm_hash::{Digest, HopKey, KeyEpoch};
+use vpm_hash::{Digest, HopKey, KeyEpoch, SHA256_DIGEST_BYTES};
 use vpm_packet::{HeaderSpec, HopId, Ipv4Prefix, SimDuration, SimTime};
 use vpm_wire::{Profile, WireDecoder, WireEncoder};
 
@@ -31,6 +33,12 @@ pub struct WireBenchConfig {
     pub window: usize,
     /// Timed repetitions per variant (the minimum is reported).
     pub repeats: usize,
+    /// Host fact, not a knob: the cores the run could use
+    /// ([`crate::available_parallelism`]).
+    pub available_parallelism: usize,
+    /// Host fact, not a knob: whether HMAC-SHA-256 ran on the
+    /// SHA-extension kernel ([`vpm_hash::has_sha_ni`]).
+    pub sha_ni: bool,
 }
 
 impl Default for WireBenchConfig {
@@ -43,6 +51,8 @@ impl Default for WireBenchConfig {
             aggs: 256,
             window: 4,
             repeats: 3,
+            available_parallelism: crate::available_parallelism(),
+            sha_ni: vpm_hash::has_sha_ni(),
         }
     }
 }
@@ -54,9 +64,11 @@ pub struct WireVariantResult {
     pub name: String,
     /// Megabytes of wire (or JSON) bytes processed per second.
     pub mb_per_s: f64,
-    /// Whole receipt batches processed per second.
+    /// Whole receipt batches (for the `hmac_*` rows, messages)
+    /// processed per second.
     pub batches_per_s: f64,
-    /// Sample records processed per second.
+    /// Sample records processed per second (0 for the `hmac_*` rows,
+    /// which MAC a plain message rather than a receipt batch).
     pub samples_per_s: f64,
 }
 
@@ -86,6 +98,10 @@ pub struct WireBenchReport {
     pub signed_encode_overhead_precise: f64,
     /// MAC trailer bytes per signed frame (epoch + HMAC-SHA-256 tag).
     pub mac_trailer_bytes: usize,
+    /// `hmac_dispatch / hmac_portable` throughput ratio — what the
+    /// host's fastest SHA-256 kernel buys over the scalar reference
+    /// (1.0 where the two coincide).
+    pub hmac_kernel_speedup: f64,
 }
 
 /// The signing key for the benchmark workload; its seed doubles as the
@@ -147,6 +163,13 @@ pub fn build_batch(cfg: &WireBenchConfig) -> ReceiptBatch {
     batch.auth_tag = batch.compute_tag(bench_key().tag_key());
     batch
 }
+
+/// Bytes of the message the `hmac_*` rows MAC: about one mean frame
+/// of the fleet workload.
+pub const HMAC_MESSAGE_BYTES: usize = 10_000;
+
+/// Messages MAC'd per timed repetition of an `hmac_*` row.
+const HMAC_MESSAGES_PER_REPEAT: usize = 64;
 
 /// Time `body` `repeats` times; report the minimum seconds per call.
 fn time_secs<F: FnMut()>(repeats: usize, mut body: F) -> f64 {
@@ -259,6 +282,29 @@ pub fn run(cfg: &WireBenchConfig) -> WireBenchReport {
         verify_signed_precise,
     );
 
+    // The HMAC kernel on its own: the host's dispatched kernel against
+    // the portable reference, over one frame-sized message.
+    let message: Vec<u8> = (0..HMAC_MESSAGE_BYTES)
+        .map(|i| (i * 131 % 251) as u8)
+        .collect();
+    let material = key.as_bytes();
+    let mut hmac_row = |name: &str, mac: fn(&[u8], &[u8]) -> [u8; SHA256_DIGEST_BYTES]| {
+        let secs = time_secs(cfg.repeats, || {
+            for _ in 0..HMAC_MESSAGES_PER_REPEAT {
+                std::hint::black_box(mac(material, std::hint::black_box(&message)));
+            }
+        }) / HMAC_MESSAGES_PER_REPEAT as f64;
+        results.push(WireVariantResult {
+            name: name.to_string(),
+            mb_per_s: HMAC_MESSAGE_BYTES as f64 / secs / 1e6,
+            batches_per_s: 1.0 / secs,
+            samples_per_s: 0.0,
+        });
+        secs
+    };
+    let hmac_portable = hmac_row("hmac_portable", vpm_hash::hmac_sha256_portable);
+    let hmac_dispatch = hmac_row("hmac_dispatch", vpm_hash::hmac_sha256);
+
     WireBenchReport {
         config: *cfg,
         results,
@@ -271,6 +317,7 @@ pub fn run(cfg: &WireBenchConfig) -> WireBenchReport {
         signed_encode_overhead_compact: enc_signed_compact / enc_compact,
         signed_encode_overhead_precise: enc_signed_precise / enc_precise,
         mac_trailer_bytes: vpm_wire::MAC_TRAILER_BYTES,
+        hmac_kernel_speedup: hmac_portable / hmac_dispatch,
     }
 }
 
@@ -316,6 +363,11 @@ pub fn render_table(report: &WireBenchReport) -> String {
         report.signed_encode_overhead_compact,
         report.signed_encode_overhead_precise
     );
+    let _ = writeln!(
+        s,
+        "HMAC-SHA-256 over {HMAC_MESSAGE_BYTES} B: dispatched kernel {:.2}x portable (sha_ni: {})",
+        report.hmac_kernel_speedup, c.sha_ni
+    );
     s
 }
 
@@ -331,6 +383,7 @@ mod tests {
             aggs: 8,
             window: 2,
             repeats: 1,
+            ..WireBenchConfig::default()
         };
         let a = build_batch(&cfg);
         let b = build_batch(&cfg);
@@ -347,6 +400,7 @@ mod tests {
             aggs: 8,
             window: 2,
             repeats: 1,
+            ..WireBenchConfig::default()
         });
         let names: Vec<&str> = report.results.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
@@ -362,12 +416,18 @@ mod tests {
                 "encode_signed_precise",
                 "verify_signed_compact",
                 "verify_signed_precise",
+                "hmac_portable",
+                "hmac_dispatch",
             ]
         );
         for r in &report.results {
             assert!(r.mb_per_s > 0.0 && r.mb_per_s.is_finite(), "{r:?}");
-            assert!(r.samples_per_s > 0.0, "{r:?}");
+            assert!(
+                r.samples_per_s > 0.0 || r.name.starts_with("hmac_"),
+                "{r:?}"
+            );
         }
+        assert!(report.hmac_kernel_speedup > 0.0);
         // The §7.1 constants are what the bench reports per sample.
         assert_eq!(report.bytes_per_sample_compact, 7.0);
         assert_eq!(report.bytes_per_sample_precise, 16.0);
@@ -384,6 +444,7 @@ mod tests {
         assert!(table.contains("verify_signed_precise"));
         assert!(table.contains("bytes/sample"));
         assert!(table.contains("HMAC trailer"));
+        assert!(table.contains("hmac_dispatch"));
     }
 
     #[test]
@@ -394,6 +455,7 @@ mod tests {
             aggs: 4,
             window: 1,
             repeats: 1,
+            ..WireBenchConfig::default()
         });
         let key = bench_key();
         let frame = WireEncoder::precise()
@@ -412,6 +474,7 @@ mod tests {
             aggs: 4,
             window: 1,
             repeats: 1,
+            ..WireBenchConfig::default()
         });
         let precise = WireEncoder::precise().encode(&batch).unwrap();
         assert_eq!(precise.decode().unwrap().batch, batch);

@@ -15,15 +15,29 @@
 //! receipts published before a rotation keep verifying; a frame
 //! claiming an epoch the transport never registered is rejected.
 
-use crate::sha256::{hmac_sha256, sha256, SHA256_DIGEST_BYTES};
+use crate::sha256::{hmac_sha256, mac_eq, sha256, SHA256_DIGEST_BYTES};
 
 /// A HOP's 32-byte secret MAC key.
 ///
 /// Deliberately opaque: `Debug` redacts the material so keys cannot
-/// leak through logs or assertion messages.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// leak through logs or assertion messages, and `==` runs in constant
+/// time (see [`mac_eq`]) so a comparison cannot leak how many leading
+/// bytes two keys share.
+#[derive(Clone, Copy, Eq)]
 pub struct HopKey {
     material: [u8; SHA256_DIGEST_BYTES],
+}
+
+impl PartialEq for HopKey {
+    fn eq(&self, other: &Self) -> bool {
+        mac_eq(&self.material, &other.material)
+    }
+}
+
+impl core::hash::Hash for HopKey {
+    fn hash<H: core::hash::Hasher>(&self, state: &mut H) {
+        self.material.hash(state);
+    }
 }
 
 impl core::fmt::Debug for HopKey {
@@ -123,6 +137,17 @@ mod tests {
         assert_ne!(k1.mac(b"frame"), k2.mac(b"frame"));
         // And the MAC is message-sensitive.
         assert_ne!(k1.mac(b"frame"), k1.mac(b"fram3"));
+    }
+
+    #[test]
+    fn equality_sees_every_byte() {
+        let base = HopKey::from_seed(0x5eed);
+        assert_eq!(base, HopKey::from_bytes(*base.as_bytes()));
+        for i in [0, 31] {
+            let mut m = *base.as_bytes();
+            m[i] ^= 1;
+            assert_ne!(base, HopKey::from_bytes(m), "byte {i}");
+        }
     }
 
     #[test]

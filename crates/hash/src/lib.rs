@@ -19,7 +19,8 @@
 //!   §5.2, §6.2);
 //! * [`mod@sha256`] — in-tree SHA-256 / HMAC-SHA-256 (NIST FIPS 180-4 and
 //!   RFC 4231 test-vector verified), the primitive behind real receipt
-//!   binding on the wire;
+//!   binding on the wire, with an x86-64 SHA-extension kernel chosen at
+//!   run time and a portable scalar one everywhere else;
 //! * [`hopkey`] — per-HOP 32-byte secret keys ([`HopKey`]) and rotation
 //!   generations ([`KeyEpoch`]) for the transport's key registry.
 //!
@@ -27,9 +28,11 @@
 //! always produce the same digest on every HOP, which is the foundation
 //! of receipt consistency checking.
 //!
-//! `unsafe` is denied crate-wide; the single exception is the SSE2
-//! dispatch call in [`lanes`], which carries its own module-scoped
-//! allow and a `SAFETY` argument (the feature gate is compile-time).
+//! `unsafe` is denied crate-wide, with two exceptions, each a single
+//! kernel dispatch call under a module-scoped allow and a `SAFETY`
+//! argument: the SSE2 call in [`lanes`] (the feature gate is
+//! compile-time) and the SHA-extension call in [`mod@sha256`] (the gate
+//! is a run-time `is_x86_feature_detected!` check).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,5 +52,8 @@ pub use digest::{
 pub use hopkey::{HopKey, KeyEpoch};
 pub use lanes::{hash64_words_x4, DIGEST_LANES};
 pub use sample::{sample_fcn, sample_fcn_keyed, SampleKey};
-pub use sha256::{hmac_sha256, mac_eq, sha256, Sha256, SHA256_BLOCK_BYTES, SHA256_DIGEST_BYTES};
+pub use sha256::{
+    has_sha_ni, hmac_sha256, hmac_sha256_portable, mac_eq, sha256, Sha256, SHA256_BLOCK_BYTES,
+    SHA256_DIGEST_BYTES,
+};
 pub use threshold::Threshold;

@@ -1,16 +1,35 @@
 //! In-tree SHA-256 (FIPS 180-4) and HMAC-SHA-256 (RFC 2104).
 //!
 //! The receipt plane needs real cryptographic binding — a MAC trailer
-//! over every published wire frame — and the build container has no
-//! crates.io access, so the primitive lives here under the same
-//! no-dependency discipline as the rest of `vpm-hash`. The
-//! implementation is the straightforward scalar compression function:
-//! receipts are batched, so MAC cost is amortized over whole frames
-//! and the §7.1 budget cares about bytes, not cycles.
+//! over every published wire frame, signed at encode, checked at
+//! admission and checked again at fetch — and the build container has
+//! no crates.io access, so the primitive lives here under the same
+//! no-dependency discipline as the rest of `vpm-hash`. HMAC is the
+//! largest single cost of the receipt pipeline, so the compression
+//! function has two kernels behind one dispatch:
 //!
-//! Correctness is pinned against the NIST FIPS 180-4 example vectors
-//! (including the streaming million-`a` message) and all seven RFC
-//! 4231 HMAC-SHA-256 test cases.
+//! * **SHA extensions** (`x86_64` hosts whose CPU reports `sha`,
+//!   `ssse3` and `sse4.1` at run time): `sha256rnds2` runs two rounds
+//!   per instruction and `sha256msg1`/`sha256msg2` expand the message
+//!   schedule. The state is shuffled into the ABEF/CDGH register
+//!   layout the instructions want once per run of blocks, not once per
+//!   block, so [`Sha256::update`] hands the kernel every whole block
+//!   of its input at once.
+//! * **Portable** (every other host): the scalar FIPS 180-4 §6.2.2
+//!   compression function, which is also the reference the SIMD path
+//!   is pinned against. [`hmac_sha256_portable`] forces it, so tests
+//!   and benches can compare the two on hosts where both exist.
+//!
+//! Both kernels compute the same function, so the dispatch is
+//! invisible to callers. They are pinned to each other and to the NIST
+//! FIPS 180-4 example vectors (including the streaming million-`a`
+//! message) and all seven RFC 4231 HMAC-SHA-256 test cases by the unit
+//! tests and proptests below.
+//!
+//! Like [`crate::lanes`], this module carries the crate's only other
+//! `unsafe`: the single call into the SHA-extension kernel (see the
+//! `SAFETY` comment at the dispatch site).
+#![allow(unsafe_code)]
 
 /// Round constants: fractional parts of the cube roots of the first
 /// 64 primes (FIPS 180-4 §4.2.2).
@@ -37,6 +56,58 @@ pub const SHA256_BLOCK_BYTES: usize = 64;
 /// SHA-256 digest size in bytes.
 pub const SHA256_DIGEST_BYTES: usize = 32;
 
+/// Bytes the final block reserves for the big-endian bit length.
+const LENGTH_BYTES: usize = 8;
+
+/// One SHA-256 message block.
+type Block = [u8; SHA256_BLOCK_BYTES];
+
+/// Which compression kernel a hasher runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// The fastest kernel this host supports.
+    Dispatch,
+    /// The scalar reference, whatever the host supports.
+    Portable,
+}
+
+/// Whether this host runs the SHA-extension kernel: an `x86_64` CPU
+/// reporting `sha`, `ssse3` and `sse4.1`. When `false`, every hash in
+/// this module runs the portable kernel.
+pub fn has_sha_ni() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Compress a run of whole blocks into `state` with `kernel`.
+fn compress_blocks(kernel: Kernel, state: &mut [u32; 8], blocks: &[Block]) {
+    #[cfg(target_arch = "x86_64")]
+    if kernel == Kernel::Dispatch && has_sha_ni() {
+        // SAFETY: the only precondition of calling the
+        // `#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]` kernel
+        // is that the running CPU supports those features. `has_sha_ni`
+        // has just confirmed `sha`, `ssse3` and `sse4.1` with
+        // `is_x86_feature_detected!`, and `sse2` is part of the x86_64
+        // baseline.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
+    }
+    // Only x86_64 has a second kernel to choose.
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = kernel;
+    for block in blocks {
+        compress(state, block);
+    }
+}
+
 /// Incremental SHA-256 hasher.
 ///
 /// ```
@@ -48,8 +119,9 @@ pub const SHA256_DIGEST_BYTES: usize = 32;
 /// ```
 #[derive(Clone)]
 pub struct Sha256 {
+    kernel: Kernel,
     state: [u32; 8],
-    buf: [u8; SHA256_BLOCK_BYTES],
+    buf: Block,
     buf_len: usize,
     total_len: u64,
 }
@@ -63,7 +135,12 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher in the FIPS 180-4 initial state.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::Dispatch)
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
+            kernel,
             state: H0,
             buf: [0u8; SHA256_BLOCK_BYTES],
             buf_len: 0,
@@ -80,35 +157,41 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == SHA256_BLOCK_BYTES {
-                let block = self.buf;
-                compress(&mut self.state, &block);
+                compress_blocks(
+                    self.kernel,
+                    &mut self.state,
+                    core::slice::from_ref(&self.buf),
+                );
                 self.buf_len = 0;
             }
         }
-        while data.len() >= SHA256_BLOCK_BYTES {
-            let (block, rest) = data.split_at(SHA256_BLOCK_BYTES);
-            compress(&mut self.state, block.try_into().expect("64-byte split"));
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<SHA256_BLOCK_BYTES>();
+        if !blocks.is_empty() {
+            compress_blocks(self.kernel, &mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !rest.is_empty() {
+            self.buf[..rest.len()].copy_from_slice(rest);
+            self.buf_len = rest.len();
         }
     }
 
-    /// Pad, run the final blocks, and return the 32-byte digest.
+    /// Pad, run the final block or two, and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; SHA256_DIGEST_BYTES] {
+        // The buffered tail, the 0x80 terminator, zeros, and the
+        // big-endian bit length, laid out in one step: one block when
+        // the terminator and length fit after the tail, else two.
+        let n = self.buf_len;
+        let mut tail = [[0u8; SHA256_BLOCK_BYTES]; 2];
+        tail[0][..n].copy_from_slice(&self.buf[..n]);
+        tail[0][n] = 0x80;
+        let used = if n < SHA256_BLOCK_BYTES - LENGTH_BYTES {
+            1
+        } else {
+            2
+        };
         let bit_len = self.total_len.wrapping_mul(8);
-        // 0x80 terminator, then zeros until 8 bytes remain in a block.
-        self.update(&[0x80]);
-        while self.buf_len != SHA256_BLOCK_BYTES - 8 {
-            self.update(&[0]);
-        }
-        // Length field is excluded from `total_len` bookkeeping by
-        // snapshotting `bit_len` first.
-        let mut block = self.buf;
-        block[SHA256_BLOCK_BYTES - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &block);
+        tail[used - 1][SHA256_BLOCK_BYTES - LENGTH_BYTES..].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(self.kernel, &mut self.state, &tail[..used]);
 
         let mut out = [0u8; SHA256_DIGEST_BYTES];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
@@ -118,8 +201,9 @@ impl Sha256 {
     }
 }
 
-/// One FIPS 180-4 §6.2.2 compression round over a 64-byte block.
-fn compress(state: &mut [u32; 8], block: &[u8; SHA256_BLOCK_BYTES]) {
+/// One FIPS 180-4 §6.2.2 compression round over a 64-byte block: the
+/// portable kernel and the reference for the SHA-extension one.
+fn compress(state: &mut [u32; 8], block: &Block) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -164,9 +248,129 @@ fn compress(state: &mut [u32; 8], block: &[u8; SHA256_BLOCK_BYTES]) {
     state[7] = state[7].wrapping_add(h);
 }
 
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    //! The SHA-extension kernel. `sha256rnds2` keeps the working
+    //! variables as two vectors, ABEF and CDGH (lane 3 first), and runs
+    //! two rounds per call; `sha256msg1`/`sha256msg2` compute four
+    //! message-schedule words at a time. All intrinsics here are
+    //! value-based (no raw pointers), so inside these
+    //! `#[target_feature]` functions every call is safe — the single
+    //! `unsafe` lives at the dispatch site in the parent module.
+
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8,
+    };
+
+    use super::{Block, K};
+
+    /// Load message words `4i..4i + 4` of `block`, big-endian, with
+    /// word `4i` in lane 0.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn load_words(block: &Block, i: usize) -> __m128i {
+        let mut bytes = [0u8; 16];
+        bytes.copy_from_slice(&block[16 * i..16 * i + 16]);
+        let v = u128::from_le_bytes(bytes);
+        let v = _mm_set_epi64x((v >> 64) as u64 as i64, v as u64 as i64);
+        // Reverse the bytes within each 32-bit lane.
+        let swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        _mm_shuffle_epi8(v, swap)
+    }
+
+    /// Four rounds: message words `w` (round `4i` in lane 0) plus
+    /// round constants `K[4i..4i + 4]`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        let k = _mm_set_epi32(
+            K[4 * i + 3] as i32,
+            K[4 * i + 2] as i32,
+            K[4 * i + 1] as i32,
+            K[4 * i] as i32,
+        );
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        // The upper two words feed the second pair of rounds.
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+    }
+
+    /// The next four schedule words from the previous sixteen, oldest
+    /// group first.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// Compress every block of `blocks` into `state`, in order.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[Block]) {
+        let s = state.map(|x| x as i32);
+        let dcba = _mm_set_epi32(s[3], s[2], s[1], s[0]);
+        let hgfe = _mm_set_epi32(s[7], s[6], s[5], s[4]);
+        // Into the instructions' layout: ABEF and CDGH, lane 3 first.
+        let cdab = _mm_shuffle_epi32::<0xb1>(dcba);
+        let efgh = _mm_shuffle_epi32::<0x1b>(hgfe);
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xf0>(efgh, cdab);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = load_words(block, 0);
+            let mut w1 = load_words(block, 1);
+            let mut w2 = load_words(block, 2);
+            let mut w3 = load_words(block, 3);
+            rounds4(&mut abef, &mut cdgh, w0, 0);
+            rounds4(&mut abef, &mut cdgh, w1, 1);
+            rounds4(&mut abef, &mut cdgh, w2, 2);
+            rounds4(&mut abef, &mut cdgh, w3, 3);
+            // Rounds 16..64, four at a time, with the schedule held in
+            // a ring of four vectors.
+            for i in (4..16).step_by(4) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, i);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, i + 1);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, i + 2);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        // Back to word order: DCBA and HGFE, lane 0 first.
+        let feba = _mm_shuffle_epi32::<0x1b>(abef);
+        let dchg = _mm_shuffle_epi32::<0xb1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xf0>(feba, dchg);
+        let hgfe = _mm_alignr_epi8::<8>(dchg, feba);
+        let lanes = [
+            _mm_extract_epi32::<0>(dcba),
+            _mm_extract_epi32::<1>(dcba),
+            _mm_extract_epi32::<2>(dcba),
+            _mm_extract_epi32::<3>(dcba),
+            _mm_extract_epi32::<0>(hgfe),
+            _mm_extract_epi32::<1>(hgfe),
+            _mm_extract_epi32::<2>(hgfe),
+            _mm_extract_epi32::<3>(hgfe),
+        ];
+        *state = lanes.map(|x| x as u32);
+    }
+}
+
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
-    let mut h = Sha256::new();
+    digest_with(Kernel::Dispatch, data)
+}
+
+/// One-shot SHA-256 with `kernel`.
+fn digest_with(kernel: Kernel, data: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+    let mut h = Sha256::with_kernel(kernel);
     h.update(data);
     h.finalize()
 }
@@ -174,9 +378,20 @@ pub fn sha256(data: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
 /// HMAC-SHA-256 of `msg` under `key` (RFC 2104; any key length —
 /// keys longer than the 64-byte block are hashed first).
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+    hmac_with(Kernel::Dispatch, key, msg)
+}
+
+/// [`hmac_sha256`] on the portable kernel, whatever the host supports.
+/// Public so tests and benches can pin the SHA-extension path against
+/// it; on a host without that path the two coincide.
+pub fn hmac_sha256_portable(key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
+    hmac_with(Kernel::Portable, key, msg)
+}
+
+fn hmac_with(kernel: Kernel, key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
     let mut k = [0u8; SHA256_BLOCK_BYTES];
     if key.len() > SHA256_BLOCK_BYTES {
-        k[..SHA256_DIGEST_BYTES].copy_from_slice(&sha256(key));
+        k[..SHA256_DIGEST_BYTES].copy_from_slice(&digest_with(kernel, key));
     } else {
         k[..key.len()].copy_from_slice(key);
     }
@@ -188,12 +403,12 @@ pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; SHA256_DIGEST_BYTES] {
         opad[i] ^= k[i];
     }
 
-    let mut inner = Sha256::new();
+    let mut inner = Sha256::with_kernel(kernel);
     inner.update(&ipad);
     inner.update(msg);
     let inner_digest = inner.finalize();
 
-    let mut outer = Sha256::new();
+    let mut outer = Sha256::with_kernel(kernel);
     outer.update(&opad);
     outer.update(&inner_digest);
     outer.finalize()
@@ -212,6 +427,9 @@ pub fn mac_eq(a: &[u8; SHA256_DIGEST_BYTES], b: &[u8; SHA256_DIGEST_BYTES]) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const KERNELS: [Kernel; 2] = [Kernel::Portable, Kernel::Dispatch];
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -248,26 +466,37 @@ mod tests {
         ];
         for (msg, want) in cases {
             assert_eq!(&hex(&sha256(msg)), want, "msg len {}", msg.len());
+            for kernel in KERNELS {
+                assert_eq!(
+                    &hex(&digest_with(kernel, msg)),
+                    want,
+                    "{kernel:?}, msg len {}",
+                    msg.len()
+                );
+            }
         }
     }
 
     #[test]
     fn nist_million_a_streams_through_arbitrary_chunking() {
         // The millionth-`a` vector, fed in deliberately awkward chunk
-        // sizes to exercise the buffered update path.
-        let mut h = Sha256::new();
-        let mut fed = 0usize;
-        let mut chunk = 1usize;
-        while fed < 1_000_000 {
-            let n = chunk.min(1_000_000 - fed);
-            h.update(&b"a".repeat(n));
-            fed += n;
-            chunk = (chunk * 3 + 7) % 257 + 1;
+        // sizes to exercise the buffered update path, on both kernels.
+        for kernel in KERNELS {
+            let mut h = Sha256::with_kernel(kernel);
+            let mut fed = 0usize;
+            let mut chunk = 1usize;
+            while fed < 1_000_000 {
+                let n = chunk.min(1_000_000 - fed);
+                h.update(&b"a".repeat(n));
+                fed += n;
+                chunk = (chunk * 3 + 7) % 257 + 1;
+            }
+            assert_eq!(
+                hex(&h.finalize()),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{kernel:?}"
+            );
         }
-        assert_eq!(
-            hex(&h.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
     }
 
     #[test]
@@ -340,13 +569,17 @@ mod tests {
             },
         ];
         for (i, tc) in cases.iter().enumerate() {
-            let got = hmac_sha256(&tc.key, &tc.data);
-            assert_eq!(
-                hex(&got[..tc.truncated_to]),
-                tc.mac,
-                "RFC 4231 test case {}",
-                i + 1
-            );
+            for got in [
+                hmac_sha256(&tc.key, &tc.data),
+                hmac_sha256_portable(&tc.key, &tc.data),
+            ] {
+                assert_eq!(
+                    hex(&got[..tc.truncated_to]),
+                    tc.mac,
+                    "RFC 4231 test case {}",
+                    i + 1
+                );
+            }
         }
     }
 
@@ -360,5 +593,60 @@ mod tests {
         b[31] ^= 1;
         b[0] ^= 0x80;
         assert!(!mac_eq(&a, &b));
+    }
+
+    #[test]
+    fn padding_boundaries_match_the_reference() {
+        // Tails of 55 (one final block), 56 and 63 (two), and 64
+        // (a whole padding block) bytes, on both kernels.
+        for len in [0usize, 55, 56, 57, 63, 64, 65, 119, 120, 128] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(
+                digest_with(Kernel::Dispatch, &data),
+                digest_with(Kernel::Portable, &data),
+                "len {len}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The dispatched kernel equals the portable reference over
+        /// every length up to 17 blocks, whatever the chunking of the
+        /// `update` calls and wherever the input starts in memory.
+        #[test]
+        fn dispatch_matches_portable_over_chunkings_and_offsets(
+            data in proptest::collection::vec(any::<u8>(), 0..=1100),
+            offset in 1usize..=63,
+            cuts in proptest::collection::vec(0usize..=200, 0..8),
+        ) {
+            let want = digest_with(Kernel::Portable, &data);
+            prop_assert_eq!(sha256(&data), want);
+            // The same bytes `offset` bytes into a larger buffer, so
+            // no block starts where the allocation does.
+            let mut shifted = vec![0u8; offset + data.len()];
+            shifted[offset..].copy_from_slice(&data);
+            let msg = &shifted[offset..];
+            for kernel in KERNELS {
+                let mut h = Sha256::with_kernel(kernel);
+                let mut rest = msg;
+                for &cut in &cuts {
+                    let (head, tail) = rest.split_at(cut.min(rest.len()));
+                    h.update(head);
+                    rest = tail;
+                }
+                h.update(rest);
+                prop_assert_eq!(h.finalize(), want);
+            }
+        }
+
+        /// HMAC on both kernels over every key-length class: empty,
+        /// shorter than, equal to and longer than the block.
+        #[test]
+        fn hmac_dispatch_matches_portable(
+            key in proptest::collection::vec(any::<u8>(), 0..=131),
+            msg in proptest::collection::vec(any::<u8>(), 0..=300),
+        ) {
+            prop_assert_eq!(hmac_sha256(&key, &msg), hmac_sha256_portable(&key, &msg));
+        }
     }
 }

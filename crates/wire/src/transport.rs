@@ -549,7 +549,9 @@ pub trait ReceiptTransport: Send + Sync {
 
 /// [`ReceiptTransport::register_key`] semantics over the shared
 /// registry: first registration lands at epoch 0, the same key is
-/// idempotent, a different key is refused.
+/// idempotent, a different key is refused. The key compare is
+/// `HopKey`'s constant-time `==`, so a refused registration does not
+/// reveal how much of the registered key it matched.
 fn register_key_in(
     keys: &KeyRegistry,
     hop: HopId,

@@ -22,8 +22,9 @@ rows and the 100k-path regime (`classify_paper_scale` /
 current architecture's ceilings are part of the collector bench's
 contract.
 `BENCH_wire.json` must additionally carry the signed-frame
-variants (`encode_signed_*` / `verify_signed_*`): the authenticity
-plane is part of the wire bench's contract, not an optional extra.
+variants (`encode_signed_*` / `verify_signed_*`) and the HMAC kernel
+rows (`hmac_portable` / `hmac_dispatch`): the authenticity plane and
+its cost are part of the wire bench's contract, not an optional extra.
 `BENCH_verifier.json` must carry the idle-consumer summaries
 (`idle_*_polls_per_publish` / `idle_poll_reduction`): blocking waits
 vs spin-polls is part of the verifier bench's contract.
@@ -41,6 +42,12 @@ throughput field (`*_per_s`, `mb_per_s`, `mpps`) must satisfy
 fields only one side has are skipped (renames and additions don't
 block), and a missing baseline file is a warning, not a failure —
 the first run after this gate lands has nothing to compare against.
+A baseline measured on a different kind of host is skipped the same
+way: when both artifacts' `config` record a host fact (`HOST_KEYS`:
+core count and whether the SHA-extension HMAC kernel ran) and the
+values differ, the comparison would measure the host, not the code,
+so it warns and skips. A baseline that predates these keys is
+compared as before.
 """
 
 import argparse
@@ -78,13 +85,22 @@ REQUIRED_COLLECTOR_VARIANTS = (
 REQUIRED_COLLECTOR_SUMMARIES = ("simd_digest_speedup",)
 
 # The wire bench must measure the authenticity plane: signed-frame
-# encode and MAC verification alongside the unsigned baseline.
+# encode and MAC verification alongside the unsigned baseline, and
+# HMAC-SHA-256 on the host's dispatched kernel against the portable one.
 REQUIRED_WIRE_VARIANTS = (
     "encode_signed_compact",
     "encode_signed_precise",
     "verify_signed_compact",
     "verify_signed_precise",
+    "hmac_portable",
+    "hmac_dispatch",
 )
+
+# Host facts every bench config records. Two runs that disagree on
+# any of them ran on different kinds of host: a CI runner without
+# SHA-NI runs every signed row on the portable kernel, several times
+# slower, with no code regressed.
+HOST_KEYS = ("available_parallelism", "sha_ni")
 
 # The verifier bench must carry the idle-consumer comparison (blocking
 # wait vs spin-poll): the dissemination plane's event-driven contract
@@ -202,7 +218,7 @@ def check_schema(path: str, report: dict, require_contract: bool = True) -> dict
         missing = [v for v in REQUIRED_WIRE_VARIANTS if v not in by_name]
         if missing:
             fail(
-                f"{path}: signed-frame variants missing from the wire "
+                f"{path}: signed-frame/HMAC variants missing from the wire "
                 f"bench: {', '.join(missing)}"
             )
 
@@ -240,9 +256,30 @@ def find_baseline(baseline_dir: str, basename: str):
     return None
 
 
-def check_trend(path: str, current: dict, baseline_path: str) -> int:
+def host_mismatch(config: dict, base_config: dict) -> list:
+    """Host facts both configs record with different values."""
+    return [
+        k
+        for k in HOST_KEYS
+        if k in config and k in base_config and config[k] != base_config[k]
+    ]
+
+
+def check_trend(path: str, report: dict, current: dict, baseline_path: str) -> int:
     """Compare rate fields against the baseline; return comparisons made."""
-    base = check_schema(baseline_path, load(baseline_path), require_contract=False)
+    base_report = load(baseline_path)
+    base = check_schema(baseline_path, base_report, require_contract=False)
+    mismatch = host_mismatch(report["config"], base_report["config"])
+    if mismatch:
+        facts = ", ".join(
+            f"{k} {base_report['config'][k]!r} -> {report['config'][k]!r}"
+            for k in mismatch
+        )
+        warn(
+            f"{path}: baseline {baseline_path} ran on a different host "
+            f"({facts}) — skipping trend gate for this artifact"
+        )
+        return 0
     compared = 0
     for name, r in current.items():
         old = base.get(name)
@@ -285,7 +322,8 @@ def main() -> None:
     total = 0
     compared = 0
     for path in artifacts:
-        current = check_schema(path, load(path))
+        report = load(path)
+        current = check_schema(path, report)
         total += len(current)
         if opts.baseline:
             baseline_path = find_baseline(opts.baseline, os.path.basename(path))
@@ -295,7 +333,7 @@ def main() -> None:
                     "skipping trend gate for this artifact"
                 )
             else:
-                compared += check_trend(path, current, baseline_path)
+                compared += check_trend(path, report, current, baseline_path)
 
     trend = (
         f", {compared} rate fields trend-checked"
